@@ -154,7 +154,7 @@ void BM_FairShareChannel(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(flows) * state.iterations());
 }
-BENCHMARK(BM_FairShareChannel)->Arg(256)->Arg(1024);
+BENCHMARK(BM_FairShareChannel)->Arg(256)->Arg(1024)->Arg(4096);
 
 void BM_PfsModelEndToEnd(benchmark::State& state) {
   const auto ops = static_cast<std::uint64_t>(state.range(0));

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "sim/check.hpp"
 
@@ -63,12 +66,39 @@ void FifoServer::start_next() {
 
 // --------------------------------------------------------- FairShareChannel
 
+namespace {
+
+using Work = FairShareChannel::Work;
+
+constexpr std::int64_t kMaxNs = std::numeric_limits<std::int64_t>::max();
+
+// Every 64-bit size fits in Work, and so does every tag: V grows by at most
+// rate (< 2^63) per ns over at most 2^63 ns of simulated time. A head's owed
+// work, (tag − V)·n, is at most one flow's work (< 2^96) times n (< 2^32).
+static_assert(Work{std::numeric_limits<std::uint64_t>::max()} * FairShareChannel::kWorkPerByte <
+              Work{1} << 96);
+
+Work work_of(Bytes size) { return Work{size.count()} * FairShareChannel::kWorkPerByte; }
+
+}  // namespace
+
+std::uint64_t FairShareChannel::whole_rate(Bandwidth capacity) {
+  const double bps = capacity.bytes_per_sec();
+  // Negated comparisons so NaN is rejected too.
+  if (!(bps >= 0.5)) {
+    throw std::invalid_argument("FairShareChannel: capacity rounds to less than 1 B/s");
+  }
+  if (!(bps < 0x1p63)) throw std::invalid_argument("FairShareChannel: capacity above 2^63 B/s");
+  return static_cast<std::uint64_t>(std::llround(bps));
+}
+
 FairShareChannel::FairShareChannel(Engine& engine, Bandwidth capacity, SimTime latency,
                                    std::string name)
-    : engine_(engine), capacity_(capacity), latency_(latency), name_(std::move(name)) {
-  if (capacity.bytes_per_sec() <= 0.0) {
-    throw std::invalid_argument("FairShareChannel: capacity must be positive");
-  }
+    : engine_(engine),
+      capacity_(capacity),
+      rate_(whole_rate(capacity)),
+      latency_(latency),
+      name_(std::move(name)) {
   if (latency < SimTime::zero()) {
     throw std::invalid_argument("FairShareChannel: negative latency");
   }
@@ -80,6 +110,10 @@ void FairShareChannel::transfer(Bytes size, std::function<void()> on_done) {
     engine_.schedule_after(latency_, std::move(on_done));
     return;
   }
+  if (work_of(size) >= Work{rate_} * static_cast<std::uint64_t>(kMaxNs)) {
+    throw std::overflow_error("FairShareChannel::transfer: " + std::to_string(size.count()) +
+                              " B drains past the end of simulated time");
+  }
   engine_.schedule_after(latency_, [this, size, done = std::move(on_done)]() mutable {
     admit(size, std::move(done));
   });
@@ -87,16 +121,21 @@ void FairShareChannel::transfer(Bytes size, std::function<void()> on_done) {
 
 void FairShareChannel::admit(Bytes size, std::function<void()> on_done) {
   advance_progress();
-  flows_.push_back(Flow{size.as_double(), size, std::move(on_done)});
+  flows_.emplace(FlowKey{vtime_ + work_of(size), next_seq_++}, Flow{size, std::move(on_done)});
   reschedule_completion();
 }
 
 void FairShareChannel::advance_progress() {
   const SimTime now = engine_.now();
-  if (!flows_.empty() && now > last_progress_) {
-    const double rate = capacity_.bytes_per_sec() / static_cast<double>(flows_.size());
-    const double progressed = rate * (now - last_progress_).sec();
-    for (auto& flow : flows_) flow.remaining_bytes = std::max(0.0, flow.remaining_bytes - progressed);
+  if (!flows_.empty()) {
+    // Each active flow receives rate·dt/n work; the floor's remainder rides
+    // along in carry_ instead of being dropped.
+    const Work service =
+        Work{rate_} * static_cast<std::uint64_t>((now - last_progress_).ns()) + carry_;
+    const std::uint64_t n = flows_.size();
+    const Work step = service / n;
+    vtime_ += step;
+    carry_ = service - step * n;
   }
   last_progress_ = now;
 }
@@ -107,37 +146,45 @@ void FairShareChannel::reschedule_completion() {
     pending_completion_ = 0;
   }
   if (flows_.empty()) return;
-  double min_remaining = std::numeric_limits<double>::max();
-  for (const auto& flow : flows_) min_remaining = std::min(min_remaining, flow.remaining_bytes);
-  const double rate = capacity_.bytes_per_sec() / static_cast<double>(flows_.size());
-  // Round up to the next nanosecond so remaining bytes are always fully
-  // drained by the time the completion fires.
-  const auto delay = SimTime::from_sec_ceil(min_remaining / rate);
-  check::that(delay >= SimTime::zero(), "non-negative service delay",
-              "delay=" + std::to_string(delay.ns()) + "ns");
-  pending_completion_ = engine_.schedule_after(delay, [this] {
-    pending_completion_ = 0;
-    complete_earliest();
-  });
+  // The head drains once rate·delay + carry reaches (tag − V)·n: the first
+  // such nanosecond, exactly. An admit at the head's completion instant runs
+  // before its completion event and finds it already drained: delay 0.
+  const Work head = flows_.begin()->first.tag;
+  const Work owed = head > vtime_ ? (head - vtime_) * flows_.size() : 0;
+  const Work delay = owed > carry_ ? (owed - carry_ + rate_ - 1) / rate_ : 0;
+  if (delay > static_cast<Work>(kMaxNs - engine_.now().ns())) {
+    throw std::overflow_error("FairShareChannel " + name_ +
+                              ": completion lies past the end of simulated time");
+  }
+  pending_completion_ =
+      engine_.schedule_after(SimTime::from_ns(static_cast<std::int64_t>(delay)), [this] {
+        pending_completion_ = 0;
+        complete_earliest();
+      });
 }
 
 void FairShareChannel::complete_earliest() {
   advance_progress();
-  // Complete every flow that has drained (ties complete together, in
-  // admission order for determinism).
-  std::vector<std::function<void()>> done;
-  for (auto it = flows_.begin(); it != flows_.end();) {
-    if (it->remaining_bytes <= 0.5) {  // < 1 byte left: drained
-      bytes_moved_ += it->size;
-      done.push_back(std::move(it->on_done));
-      it = flows_.erase(it);
-    } else {
-      ++it;
-    }
+  // Complete every flow that has drained: a prefix of the (tag, seq) order.
+  // Ties complete together, in admission order for determinism.
+  std::vector<std::pair<std::uint64_t, std::function<void()>>> done;
+  auto drained_end = flows_.begin();
+  for (; drained_end != flows_.end() && drained_end->first.tag <= vtime_; ++drained_end) {
+    bytes_moved_ += drained_end->second.size;
+    done.emplace_back(drained_end->first.seq, std::move(drained_end->second.on_done));
+  }
+  flows_.erase(flows_.begin(), drained_end);
+  // The completion was timed to the head's exact drain instant.
+  check::that(!done.empty(), "fair-share completion drains a flow", name_);
+  std::sort(done.begin(), done.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  if (flows_.empty()) {
+    vtime_ = 0;
+    carry_ = 0;
   }
   reschedule_completion();
-  for (auto& fn : done) {
-    if (fn) fn();
+  for (auto& [seq, on_done] : done) {
+    if (on_done) on_done();
   }
 }
 

@@ -9,8 +9,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <limits>
-#include <list>
+#include <map>
 #include <string>
 
 #include "common/histogram.hpp"
@@ -81,16 +80,34 @@ class FifoServer {
 };
 
 /// Fluid-model fair-sharing channel: `n` concurrent flows each progress at
-/// capacity/n. On every membership change the remaining volumes are advanced
-/// and the next completion re-scheduled. Propagation latency is applied once
-/// at flow admission. This is the standard processor-sharing approximation
-/// used by CODES-class network models.
+/// capacity/n. Propagation latency is applied once at flow admission. This is
+/// the standard processor-sharing approximation used by CODES-class network
+/// models.
+///
+/// Implemented in virtual time (DESIGN.md §17): one channel-global clock V
+/// advances at capacity/n, a flow admitted at V_admit drains when V reaches
+/// its finish tag V_admit + size, and flows sit in a map ordered by
+/// (tag, admission seq) — each admit or completion is O(log n). All
+/// accounting is exact integer arithmetic in `Work` units, so the completion
+/// instant of every flow is the first nanosecond at which it has drained.
 class FairShareChannel {
  public:
+  /// Work in units of 1e-9 byte: a whole B/s rate times a duration in ns is
+  /// work, with no rounding. 128 bits hold every 64-bit size times
+  /// kWorkPerByte, and V stays below rate × 2^63 ns.
+  __extension__ using Work = unsigned __int128;
+  static constexpr std::uint64_t kWorkPerByte = 1'000'000'000;
+
+  /// `capacity` rounded to whole B/s, the channel's integer rate. Throws
+  /// std::invalid_argument when it rounds below 1 B/s or exceeds 2^63 B/s.
+  [[nodiscard]] static std::uint64_t whole_rate(Bandwidth capacity);
+
   FairShareChannel(Engine& engine, Bandwidth capacity, SimTime latency,
                    std::string name = "link");
 
   /// Start a transfer of `size`; `on_done` fires when the last byte drains.
+  /// Throws std::overflow_error if draining `size` alone at full capacity
+  /// would take longer than SimTime can represent.
   void transfer(Bytes size, std::function<void()> on_done);
 
   [[nodiscard]] std::size_t active_flows() const { return flows_.size(); }
@@ -99,8 +116,15 @@ class FairShareChannel {
   [[nodiscard]] Bandwidth capacity() const { return capacity_; }
 
  private:
+  /// Map order: finish tag, then admission order.
+  struct FlowKey {
+    Work tag;
+    std::uint64_t seq;
+    bool operator<(const FlowKey& other) const {
+      return tag != other.tag ? tag < other.tag : seq < other.seq;
+    }
+  };
   struct Flow {
-    double remaining_bytes;
     Bytes size;
     std::function<void()> on_done;
   };
@@ -112,9 +136,15 @@ class FairShareChannel {
 
   Engine& engine_;
   Bandwidth capacity_;
+  std::uint64_t rate_;  ///< capacity in whole B/s = work per ns at n = 1
   SimTime latency_;
   std::string name_;
-  std::list<Flow> flows_;
+  std::map<FlowKey, Flow> flows_;
+  Work vtime_ = 0;  ///< V; reset to 0 whenever the channel idles
+  /// Remainder of the last V step (a numerator over that step's n), fed
+  /// into the next step so no work is lost to the floor.
+  Work carry_ = 0;
+  std::uint64_t next_seq_ = 0;
   SimTime last_progress_ = SimTime::zero();
   EventId pending_completion_ = 0;
   Bytes bytes_moved_ = Bytes::zero();

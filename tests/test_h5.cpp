@@ -241,6 +241,29 @@ struct SlabCase {
   std::uint32_t elem;
 };
 
+// Prints the geometry rather than gtest's default byte dump, whose heap
+// pointers would make the discovered ctest names differ on every build.
+// Kept short (d=dims, c=chunks, s=start, n=count, e=element size) so the
+// full test name stays under 100 characters.
+void PrintTo(const SlabCase& c, std::ostream* os) {
+  const auto dims = [os](const std::vector<std::uint64_t>& v) {
+    for (std::size_t i = 0; i < v.size(); ++i) *os << (i == 0 ? "" : "x") << v[i];
+  };
+  *os << "d";
+  dims(c.dims);
+  if (c.chunks.empty()) {
+    *os << "_contig";
+  } else {
+    *os << "_c";
+    dims(c.chunks);
+  }
+  *os << "_s";
+  dims(c.start);
+  *os << "_n";
+  dims(c.count);
+  *os << "_e" << c.elem;
+}
+
 class HyperslabPropertyTest : public ::testing::TestWithParam<SlabCase> {};
 
 TEST_P(HyperslabPropertyTest, ExtentsExactlyTileTheSlab) {
