@@ -4,13 +4,26 @@
 // that is only viable if the engine sustains millions of events per second.
 // This is the one google-benchmark microbenchmark binary: engine event
 // throughput, scheduler-queue comparisons (4-ary heap vs calendar queue),
-// payload allocation (slab vs arena), fluid-channel transfers, and
-// end-to-end PFS model ops.
+// payload allocation (slab vs arena), fluid-channel transfers, end-to-end
+// PFS model ops, and client page-cache churn.
+//
+// Shape gate: the binary exits 1 if a BM_PageCacheChurn op at 16384 pages
+// costs more than 1.5x an op at 1024 pages (the cache core must stay O(1)
+// per page as it grows); the rows themselves are host timings.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <array>
+#include <cstdio>
+#include <cstring>
+#include <deque>
 #include <functional>
+#include <map>
+#include <string>
+#include <vector>
 
+#include "cache/page_cache.hpp"
 #include "net/fabric.hpp"
 #include "pfs/pfs.hpp"
 #include "sim/arena.hpp"
@@ -180,6 +193,116 @@ void BM_PfsModelEndToEnd(benchmark::State& state) {
 }
 BENCHMARK(BM_PfsModelEndToEnd)->Arg(256)->Arg(2048);
 
+// ---- BM_PageCacheChurn: the client cache core under a DL-style stream ----
+// A 2Q cache of `pages` pages serves 16 ops per page over a working set of
+// twice its size in four files: 75% reads (a miss inserts the page), 25%
+// writes (insert + mark dirty); write-back completes oldest-first whenever
+// more than a quarter of the cache is dirty. Items are cache ops.
+constexpr std::uint64_t kChurnOpsPerPage = 16;
+
+void BM_PageCacheChurn(benchmark::State& state) {
+  const auto pages = static_cast<std::uint64_t>(state.range(0));
+  const std::uint64_t ops = kChurnOpsPerPage * pages;
+  struct ChurnOp {
+    cache::PageKey key;
+    bool write = false;
+  };
+  std::vector<ChurnOp> stream(ops);
+  Rng rng{42};
+  for (ChurnOp& op : stream) {
+    op.key = cache::PageKey{1 + rng.next_below(4), rng.next_below(pages / 2)};
+    op.write = rng.next_below(4) == 0;
+  }
+  cache::CacheConfig config;
+  config.capacity_pages = pages;
+  config.max_dirty_pages = pages / 4;
+  config.policy = cache::EvictionPolicy::kTwoQ;
+  for (auto _ : state) {
+    cache::PageCache pc{config};
+    std::deque<cache::PageKey> dirtied;
+    for (const ChurnOp& op : stream) {
+      if (op.write) {
+        (void)pc.insert(op.key, SimTime::zero());
+        pc.mark_dirty(op.key);
+        dirtied.push_back(op.key);
+        while (pc.dirty_count() > config.max_dirty_pages) {
+          pc.mark_clean(dirtied.front());
+          dirtied.pop_front();
+        }
+      } else if (pc.lookup(op.key, SimTime::zero()) == nullptr) {
+        (void)pc.insert(op.key, SimTime::zero());
+      }
+    }
+    benchmark::DoNotOptimize(pc.stats().hits);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(ops) * state.iterations());
+}
+BENCHMARK(BM_PageCacheChurn)->Arg(1024)->Arg(16384);
+
+/// Wraps the reporter the flags asked for and keeps the per-op CPU time of
+/// each BM_PageCacheChurn size (CPU, not wall: the gate is about the cache
+/// core, not about who else holds the host): the fastest repetition, or the
+/// median aggregate when one is reported (it follows its repetitions).
+template <class Base>
+class ChurnCapture : public Base {
+ public:
+  using Base::Base;
+
+  void ReportRuns(const std::vector<benchmark::BenchmarkReporter::Run>& runs) override {
+    for (const auto& run : runs) {
+      if (run.run_name.function_name != "BM_PageCacheChurn" || run.error_occurred) continue;
+      const bool aggregate = run.run_type == benchmark::BenchmarkReporter::Run::RT_Aggregate;
+      if (aggregate && run.aggregate_name != "median") continue;
+      const std::uint64_t pages = std::stoull(run.run_name.args);
+      const double ns = run.GetAdjustedCPUTime() /
+                        benchmark::GetTimeUnitMultiplier(run.time_unit) * 1e9 /
+                        static_cast<double>(kChurnOpsPerPage * pages);
+      const auto [it, fresh] = ns_per_op.try_emplace(pages, ns);
+      if (!fresh) it->second = aggregate ? ns : std::min(it->second, ns);
+    }
+    Base::ReportRuns(runs);
+  }
+  std::map<std::uint64_t, double> ns_per_op;
+};
+
+int check_churn_shape(const std::map<std::uint64_t, double>& ns_per_op) {
+  const auto small = ns_per_op.find(1024);
+  const auto large = ns_per_op.find(16384);
+  if (small == ns_per_op.end() || large == ns_per_op.end()) return 0;  // filtered out
+  const double ratio = large->second / small->second;
+  std::fprintf(stderr, "BM_PageCacheChurn shape: %.1f ns/op at 1024 pages, %.1f at 16384 (%.2fx)\n",
+               small->second, large->second, ratio);
+  if (ratio > 1.5) {
+    std::fprintf(stderr, "shape check VIOLATED: per-op cost grows with the cache (> 1.5x)\n");
+    return 1;
+  }
+  return 0;
+}
+
+template <class Reporter>
+int run_and_check(Reporter& reporter) {
+  benchmark::RunSpecifiedBenchmarks(&reporter);
+  benchmark::Shutdown();
+  return check_churn_shape(reporter.ns_per_op);
+}
+
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  // The display reporter is ours (it feeds the shape gate), so pick the one
+  // --benchmark_format asks for, colour only on a terminal as by default.
+  bool json = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--benchmark_format=json") == 0) json = true;
+  }
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  if (json) {
+    ChurnCapture<benchmark::JSONReporter> reporter;
+    return run_and_check(reporter);
+  }
+  ChurnCapture<benchmark::ConsoleReporter> reporter{
+      isatty(STDOUT_FILENO) != 0 ? benchmark::ConsoleReporter::OO_Color
+                                 : benchmark::ConsoleReporter::OO_None};
+  return run_and_check(reporter);
+}

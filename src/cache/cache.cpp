@@ -62,6 +62,9 @@ void CacheConfig::validate() const {
   if (local_bandwidth.bytes_per_sec() <= 0.0) {
     throw std::invalid_argument("CacheConfig: local_bandwidth must be positive");
   }
+  if (writeback_retry <= SimTime::zero()) {
+    throw std::invalid_argument("CacheConfig: writeback_retry must be positive");
+  }
 }
 
 CacheStats& CacheStats::operator+=(const CacheStats& other) {

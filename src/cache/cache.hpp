@@ -72,6 +72,10 @@ struct CacheConfig {
   SimTime hit_latency = SimTime::from_us(2.0);
   Bandwidth local_bandwidth = Bandwidth::from_gib_per_sec(2.0);
   /// Delay before a failed write-back is retried (keeps C1 under faults).
+  /// It is also the wake grid of a flush that waits on a write-back already
+  /// in flight: the waiter resumes at the first multiple of this period,
+  /// counted from when it started waiting, strictly after the landing.
+  /// Must be positive.
   SimTime writeback_retry = SimTime::from_ms(5.0);
   /// In-flight cap for epoch-warming prefetch reads.
   std::uint32_t warm_concurrency = 4;

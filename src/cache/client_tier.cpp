@@ -54,7 +54,7 @@ void ClientCacheTier::record(CacheEventKind kind, std::int32_t rank, Bytes bytes
 
 void ClientCacheTier::note_access(Slot& slot, PageKey key) {
   if (config_.prefetch != PrefetchMode::kEpoch) return;
-  if (slot.epoch_seen.insert(key).second) slot.epoch_order.push_back(key);
+  if (slot.epoch_seen.insert(key)) slot.epoch_order.push_back(key);
 }
 
 SimTime ClientCacheTier::local_cost(Bytes bytes) const {
@@ -270,11 +270,9 @@ void ClientCacheTier::settle_page(std::size_t slot_idx, PageKey key,
     return;
   }
   if (slot.inflight.contains(key)) {
-    // Another flush owns this page's write-back; check again after it.
-    engine_.schedule_after(config_.writeback_retry,
-                           [this, slot_idx, key, on_clean = std::move(on_clean)] {
-                             settle_page(slot_idx, key, on_clean);
-                           });
+    // Another settle owns this page's write-back: wait for it to land (or
+    // for the page to be dropped) instead of re-checking every retry.
+    slot.parked.emplace(key, Waiter{next_waiter_++, engine_.now(), std::move(on_clean)});
     return;
   }
   const auto meta = metas_.find(key.file);
@@ -293,6 +291,11 @@ void ClientCacheTier::settle_page(std::size_t slot_idx, PageKey key,
              on_clean = std::move(on_clean)](pfs::IoResult result) {
               Slot& s = *slots_[slot_idx];
               s.inflight.erase(key);
+              // Waiters first: their wake events must precede anything this
+              // landing schedules, as their poll events would have.
+              const auto [first, last] = s.parked.equal_range(key);
+              for (auto it = first; it != last; ++it) wake(slot_idx, key, std::move(it->second));
+              s.parked.erase(first, last);
               Page* now_page = s.cache.peek(key);
               if (now_page == nullptr) {  // invalidated mid-flight (unlink)
                 on_clean();
@@ -314,6 +317,19 @@ void ClientCacheTier::settle_page(std::size_t slot_idx, PageKey key,
                                        settle_page(slot_idx, key, on_clean);
                                      });
             });
+}
+
+void ClientCacheTier::wake(std::size_t slot_idx, PageKey key, Waiter waiter) {
+  // A polling waiter would have looked at since + k·retry for k = 1, 2, ...
+  // and seen "still in flight" at every tick up to now; a tick on this very
+  // ns ran before the landing, its event having been scheduled a whole retry
+  // earlier. So it first sees the change at the next tick.
+  const std::int64_t retry = config_.writeback_retry.ns();
+  const std::int64_t ticks = (engine_.now() - waiter.since).ns() / retry + 1;
+  engine_.schedule_at(waiter.since + SimTime::from_ns(ticks * retry),
+                      [this, slot_idx, key, on_clean = std::move(waiter.on_clean)] {
+                        settle_page(slot_idx, key, on_clean);
+                      });
 }
 
 void ClientCacheTier::pump_writebacks(std::size_t slot_idx) {
@@ -352,10 +368,29 @@ void ClientCacheTier::flush_path(std::int32_t rank, const std::string& path,
 void ClientCacheTier::invalidate_path(const std::string& path) {
   const auto id_it = ids_.find(path);
   if (id_it == ids_.end()) return;
-  for (auto& slot : slots_) {
-    slot->cache.erase_file(id_it->second);
-    slot->next_offset.erase(id_it->second);
+  const std::uint64_t fid = id_it->second;
+  // Dropping the pages releases every waiter parked on one of them; they
+  // wake in the order they parked, across slots, as their polls would have.
+  struct Woken {
+    std::size_t slot_idx;
+    PageKey key;
+    Waiter waiter;
+  };
+  std::vector<Woken> woken;
+  for (std::size_t s = 0; s < slots_.size(); ++s) {
+    Slot& slot = *slots_[s];
+    slot.cache.erase_file(fid);
+    slot.next_offset.erase(fid);
+    const auto first = slot.parked.lower_bound(PageKey{fid, 0});
+    const auto last = slot.parked.lower_bound(PageKey{fid + 1, 0});
+    for (auto it = first; it != last; ++it) {
+      woken.push_back(Woken{s, it->first, std::move(it->second)});
+    }
+    slot.parked.erase(first, last);
   }
+  std::sort(woken.begin(), woken.end(),
+            [](const Woken& a, const Woken& b) { return a.waiter.seq < b.waiter.seq; });
+  for (Woken& w : woken) wake(w.slot_idx, w.key, std::move(w.waiter));
 }
 
 void ClientCacheTier::flush_all() {

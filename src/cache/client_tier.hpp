@@ -13,10 +13,13 @@
 // is never dropped. Eviction takes clean pages only (PageCache enforces
 // this structurally); a failed write-back — an OST down under pio::fault —
 // leaves the page dirty and retries after writeback_retry until the bytes
-// land. At quiescence the driver asserts dirty_pages() == 0
-// (sim::check::cache_writeback_drained) and PfsModel::assert_quiescent
-// audits the durability ledger (F3), closing the loop from cache
-// acknowledgement to replica-held bytes.
+// land. A flush that finds its page's write-back already in flight parks
+// instead of polling: when that write-back lands (or the page is dropped)
+// the waiter runs once, at the first tick of its writeback_retry grid
+// strictly after that moment (DESIGN.md §10). At quiescence the driver
+// asserts dirty_pages() == 0 (sim::check::cache_writeback_drained) and
+// PfsModel::assert_quiescent audits the durability ledger (F3), closing
+// the loop from cache acknowledgement to replica-held bytes.
 //
 // The epoch prefetcher (PrefetchMode::kEpoch) learns each epoch's page
 // access set per cache instance and, at the epoch barrier, warms the pages
@@ -32,12 +35,12 @@
 #include <list>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "cache/cache.hpp"
 #include "cache/page_cache.hpp"
+#include "cache/page_index.hpp"
 #include "common/types.hpp"
 #include "pfs/pfs.hpp"
 #include "pfs/stripe.hpp"
@@ -70,7 +73,9 @@ class ClientCacheTier {
 
   /// Write-back barrier for one path (fsync/close semantics): completes only
   /// after every dirty page of the path has landed, retrying failed
-  /// write-backs after writeback_retry (C1: never drop, always retry).
+  /// write-backs after writeback_retry (C1: never drop, always retry). A
+  /// page whose write-back is already in flight is waited for on the
+  /// writeback_retry grid anchored at this call.
   void flush_path(std::int32_t rank, const std::string& path, std::function<void()> on_done);
 
   /// Drop every cached page of a path, dirty included (unlink discards).
@@ -102,14 +107,24 @@ class ClientCacheTier {
   }
 
  private:
+  /// A settle_page call parked on a write-back it does not own.
+  struct Waiter {
+    std::uint64_t seq = 0;            ///< tier-wide registration order
+    SimTime since = SimTime::zero();  ///< when it parked: the origin of its wake grid
+    std::function<void()> on_clean;
+  };
+
   /// One cache instance plus its prefetch/write-back state. kShared scope
   /// has exactly one slot; kPerRank has one per rank.
   struct Slot {
     explicit Slot(const CacheConfig& config) : cache(config) {}
     PageCache cache;
     std::vector<PageKey> epoch_order;  ///< this epoch's first-touches, in order
-    std::set<PageKey> epoch_seen;
-    std::set<PageKey> inflight;        ///< write-backs currently in the model
+    PageSet epoch_seen;
+    PageSet inflight;                  ///< write-backs currently in the model
+    /// Waiters on in-flight write-backs, by page (registration order within
+    /// a page); ordered so invalidate_path can take one file's range.
+    std::multimap<PageKey, Waiter> parked;
     std::list<PageKey> warm_queue;
     std::uint32_t warm_inflight = 0;
     std::map<std::uint64_t, std::uint64_t> next_offset;  ///< sequential detector
@@ -130,9 +145,12 @@ class ClientCacheTier {
   /// Simulated node-local service time for `bytes` served from cache.
   [[nodiscard]] SimTime local_cost(Bytes bytes) const;
   /// Drive one dirty page to clean: issues the write-back unless one is
-  /// already in flight, retries failures after writeback_retry, and calls
-  /// `on_clean` once the page is clean (or gone).
+  /// already in flight (then parks until it lands), retries failures after
+  /// writeback_retry, and calls `on_clean` once the page is clean (or gone).
   void settle_page(std::size_t slot_idx, PageKey key, std::function<void()> on_clean);
+  /// Schedules a parked waiter to re-run settle_page at the first tick of
+  /// its writeback_retry grid strictly after now.
+  void wake(std::size_t slot_idx, PageKey key, Waiter waiter);
   /// Background pressure relief: settle oldest dirty pages above the bound.
   void pump_writebacks(std::size_t slot_idx);
   void warm_next(std::size_t slot_idx);
@@ -145,6 +163,7 @@ class ClientCacheTier {
   std::map<std::uint64_t, FileMeta> metas_;
   std::function<void(const CacheRecord&)> observer_;
   std::uint64_t next_file_id_ = 1;
+  std::uint64_t next_waiter_ = 0;
   std::uint64_t epochs_ = 0;
 };
 

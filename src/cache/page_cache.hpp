@@ -6,11 +6,21 @@
 // 2Q/ARC-lite policy that resists scan pollution), dirty tracking for
 // write-back, and prefetch bookkeeping (issued/used/wasted).
 //
-// Determinism rules (piolint D1/D2): recency is logical — list order updated
+// Layout (DESIGN.md §10): entries live in a chunked slab and never move, so
+// a Page& stays valid until its page leaves the cache. A PageIndex hash
+// finds a page's slot. Each recency queue (LRU/Am, 2Q's A1in) orders its
+// pages by stamp, with a bitset of the clean ones, so eviction finds the
+// coldest clean page without stepping over dirty ones. The dirty FIFO and
+// the 2Q ghost list are IndexLists threaded through the slots, and ghost
+// keys have their own PageIndex. Lookup, insert (with its eviction), dirty
+// marking and erase cost O(1) amortized and allocate nothing beyond slab,
+// index and stamp-window growth.
+//
+// Determinism rules (piolint D1/D2): recency is logical — stamp order updated
 // on access — never wall-clock; `last_access` carries the *simulated* or
-// caller-supplied time for observability only. All internal containers are
-// ordered, so iteration (e.g. collecting dirty pages for write-back) is
-// reproducible across runs.
+// caller-supplied time for observability only. The hash indexes are only
+// probed; every walk (dirty pages for write-back, a file's pages, prefetch
+// waste) follows a list or stamp order, so iteration order is reproducible.
 //
 // Invariant C1 (enforced here structurally): eviction only ever selects
 // CLEAN pages. A dirty page — bytes acknowledged to the application but not
@@ -20,22 +30,14 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
-#include <map>
+#include <memory>
 #include <vector>
 
 #include "cache/cache.hpp"
+#include "cache/page_index.hpp"
 #include "common/types.hpp"
 
 namespace pio::cache {
-
-/// Identity of one cached page.
-struct PageKey {
-  std::uint64_t file = 0;  ///< interned file id (integration-specific)
-  std::uint64_t page = 0;  ///< page index = offset / page_size
-
-  friend auto operator<=>(const PageKey&, const PageKey&) = default;
-};
 
 /// One resident page. `data` holds real bytes on the functional path and
 /// stays empty on the simulated (time-only) path; `valid_bytes` is how much
@@ -99,8 +101,10 @@ class PageCache {
   /// run: speculation that never paid off must be reported, not forgotten).
   void finalize_prefetch_waste();
 
-  [[nodiscard]] std::uint64_t size() const { return static_cast<std::uint64_t>(pages_.size()); }
-  [[nodiscard]] std::uint64_t dirty_count() const { return dirty_count_; }
+  [[nodiscard]] std::uint64_t size() const { return static_cast<std::uint64_t>(index_.size()); }
+  [[nodiscard]] std::uint64_t dirty_count() const {
+    return static_cast<std::uint64_t>(dirty_order_.size());
+  }
   [[nodiscard]] const CacheStats& stats() const { return stats_; }
   /// Counter block, writable so integrations can fold in byte-level and
   /// write-back accounting next to the page-level counters kept here.
@@ -112,32 +116,91 @@ class PageCache {
   }
 
  private:
-  /// Which recency list a resident page lives on.
+  /// Which recency queue a resident page lives on.
   enum class Queue : std::uint8_t { kMain, kA1In };
 
   struct Entry {
     Page page;
+    IndexLinks dirty;  ///< position in dirty_order_ (if dirty); the free chain while unused
+    std::uint32_t stamp = 0;  ///< position in its queue (larger = newer)
     Queue queue = Queue::kMain;
-    std::list<PageKey>::iterator recency;  ///< position in its queue
-    std::list<PageKey>::iterator dirty_pos;  ///< position in dirty_order_ (if dirty)
   };
 
+  /// One recency queue, kept as stamps: a page gets the next stamp when it
+  /// enters or is promoted to the front, so queue order is stamp order.
+  /// `at` maps live stamps to slots and `clean` has a bit per stamp whose
+  /// page is clean, so the eviction victim — the coldest clean page — is
+  /// the lowest set bit, whatever dirty pages sit behind it. When stamps
+  /// run out the live ones are renumbered 0..n-1 and the window grows to at
+  /// least 2n + 64: O(n) once per n or more stamps handed out.
+  struct RecencyQueue {
+    std::vector<std::uint32_t> at;       ///< stamp -> slot, kNoSlot if not live
+    std::vector<std::uint64_t> clean;    ///< bit per stamp: its page is clean
+    std::vector<std::uint64_t> summary;  ///< bit per `clean` word: the word is non-zero
+    std::size_t low = 0;                 ///< no summary word below this is non-zero
+    std::uint32_t next = 0;              ///< next stamp to hand out
+    std::uint64_t size = 0;              ///< live pages
+  };
+
+  struct Ghost {
+    PageKey key;
+    IndexLinks link;  ///< position in ghost_; the free chain while unused
+  };
+
+  /// Slab chunk c holds slots [16·2^(c-1), 16·2^c) (chunk 0: [0, 16)), so
+  /// the slab doubles as it grows and never moves an entry.
+  static constexpr std::uint32_t kFirstChunkBits = 4;
+
+  [[nodiscard]] Entry& entry(std::uint32_t slot);
+  [[nodiscard]] const Entry& entry(std::uint32_t slot) const;
+  /// IndexList accessors: which IndexLinks each list threads.
+  [[nodiscard]] auto dirty_links() {
+    return [this](std::uint32_t slot) -> IndexLinks& { return entry(slot).dirty; };
+  }
+  [[nodiscard]] auto ghost_links() {
+    return [this](std::uint32_t ghost) -> IndexLinks& { return ghosts_[ghost].link; };
+  }
+  /// PageIndex key readers: where each index's keys live.
+  [[nodiscard]] auto page_key_of() const {
+    return [this](std::uint32_t slot) -> const PageKey& { return entry(slot).page.key; };
+  }
+  [[nodiscard]] auto ghost_key_of() const {
+    return [this](std::uint32_t ghost) -> const PageKey& { return ghosts_[ghost].key; };
+  }
+  [[nodiscard]] std::uint32_t acquire_slot();
+  void release_slot(std::uint32_t slot);
+  void push_ghost(PageKey key);
+  void drop_ghost(std::uint32_t ghost);
+
+  [[nodiscard]] RecencyQueue& queue_of(const Entry& e) {
+    return e.queue == Queue::kA1In ? a1in_ : main_;
+  }
+  /// Queue bookkeeping: enter at the front, leave, mark clean or dirty.
+  void push_front(RecencyQueue& queue, std::uint32_t slot);
+  void unstamp(RecencyQueue& queue, std::uint32_t slot);
+  static void set_clean(RecencyQueue& queue, std::uint32_t stamp, bool clean);
+  /// Renumbers the live stamps of `queue` 0..n-1, in order.
+  void restamp(RecencyQueue& queue);
+
   void evict_one();
-  /// Pop the oldest *clean* page off `queue` (back = coldest); false if the
-  /// queue holds no clean page.
-  bool evict_clean_from(std::list<PageKey>& queue);
-  void remove_entry(std::map<PageKey, Entry>::iterator it);
+  /// Evict the coldest *clean* page of `queue`; false if it holds none.
+  bool evict_clean_from(RecencyQueue& queue);
+  void remove_entry(std::uint32_t slot);
   [[nodiscard]] std::uint64_t a1in_target() const;
 
   CacheConfig config_;
   CacheStats stats_;
-  std::map<PageKey, Entry> pages_;
-  std::list<PageKey> main_;   ///< LRU list (front = most recent); 2Q's Am
-  std::list<PageKey> a1in_;   ///< 2Q admission FIFO (front = newest)
-  std::list<PageKey> ghost_;  ///< 2Q ghost keys (front = newest)
-  std::map<PageKey, std::list<PageKey>::iterator> ghost_index_;
-  std::list<PageKey> dirty_order_;  ///< FIFO of dirty pages (front = oldest)
-  std::uint64_t dirty_count_ = 0;
+  std::vector<std::unique_ptr<Entry[]>> chunks_;
+  std::uint32_t slots_made_ = 0;     ///< slots handed out of the chunks so far
+  std::uint32_t free_ = kNoSlot;     ///< head of the released-slot chain
+  PageIndex index_;                  ///< resident key -> slot
+  RecencyQueue main_;                ///< LRU queue; 2Q's Am
+  RecencyQueue a1in_;                ///< 2Q admission FIFO
+  IndexList dirty_order_;            ///< FIFO of dirty pages (front = oldest)
+  std::vector<Ghost> ghosts_;        ///< ghost slab (indexes, not references, are held)
+  std::uint32_t free_ghost_ = kNoSlot;
+  PageIndex ghost_index_;            ///< ghost key -> ghost slot
+  IndexList ghost_;                  ///< 2Q ghost keys (front = newest)
   std::function<void(const Page&)> eviction_observer_;
 };
 

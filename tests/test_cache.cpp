@@ -3,7 +3,9 @@
 // (read-through, write-back, RMW, fault handling), and the DES-timed
 // ClientCacheTier behind the simulation driver (warm-cache speedup, epoch
 // prefetching, invariant C1 under injected faults, counter plumbing into
-// SimRunResult / ServerStats / kCache trace events). Registered under the
+// SimRunResult / ServerStats / kCache trace events). The slab PageCache is
+// also checked step by step against the map/list reference in
+// reference_page_cache.hpp on seeded operation sequences. Registered under the
 // `cache` ctest label; CI runs the group in the Release and sanitizer legs.
 #include <gtest/gtest.h>
 
@@ -16,8 +18,10 @@
 #include "cache/cache.hpp"
 #include "cache/client_tier.hpp"
 #include "cache/page_cache.hpp"
+#include "common/rng.hpp"
 #include "driver/sim_driver.hpp"
 #include "pfs/pfs.hpp"
+#include "reference_page_cache.hpp"
 #include "sim/engine.hpp"
 #include "trace/backend_shim.hpp"
 #include "trace/server_stats.hpp"
@@ -253,6 +257,171 @@ TEST(PageCacheTest, EraseFileDropsOnlyThatFile) {
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.dirty_count(), 0u);  // dirty pages of the file go with it
   EXPECT_TRUE(cache.contains(PageKey{2, 0}));
+}
+
+// ---------------------------------------- PageCache vs the map/list reference
+
+/// Every observable field of a page, for comparing the two caches.
+std::string describe(const Page* page) {
+  if (page == nullptr) return "absent";
+  return std::to_string(page->key.file) + ":" + std::to_string(page->key.page) +
+         " dirty=" + std::to_string(page->dirty) + " pf=" + std::to_string(page->prefetched) +
+         " owner=" + std::to_string(page->owner) + " valid=" +
+         std::to_string(page->valid_bytes) + " ver=" + std::to_string(page->version) +
+         " at=" + std::to_string(page->last_access.ns()) +
+         " data=" + std::to_string(page->data.size());
+}
+
+std::string describe(const CacheStats& s) {
+  return std::to_string(s.hits) + "/" + std::to_string(s.misses) + "/" +
+         std::to_string(s.evictions) + "/" + std::to_string(s.prefetch_issued) + "/" +
+         std::to_string(s.prefetch_used) + "/" + std::to_string(s.prefetch_wasted);
+}
+
+/// Drives the slab PageCache and the std::map/std::list reference with one
+/// seeded operation sequence and requires identical results after every
+/// step: returned pages, counters, eviction victims in order, size, dirty
+/// count and the oldest dirty pages. Every `sweep_every` steps (and after
+/// the last) it also compares the whole state: every page's fields and the
+/// full dirty FIFO. Dirty pages pile up on purpose, so the all-dirty insert
+/// throw is exercised too. Returns how many inserts threw that way.
+std::uint64_t run_differential(std::uint64_t capacity, EvictionPolicy policy,
+                               std::uint64_t seed, int steps, int sweep_every = 1) {
+  const CacheConfig config = page_config(capacity, policy);
+  PageCache fast{config};
+  cache::reference::PageCache ref{config};
+  std::vector<std::string> fast_victims;
+  std::vector<std::string> ref_victims;
+  fast.set_eviction_observer([&](const Page& p) { fast_victims.push_back(describe(&p)); });
+  ref.set_eviction_observer([&](const Page& p) { ref_victims.push_back(describe(&p)); });
+
+  Rng rng{seed};
+  const std::uint64_t pages = 2 * capacity + 4;
+  std::uint64_t throws = 0;
+  for (int step = 0; step < steps; ++step) {
+    // Mostly a hot set about the cache's size in file 1, so pages get hit,
+    // dirtied and pile up; sometimes any key of three files.
+    const bool hot = rng.next_below(4) != 0;
+    const PageKey key{hot ? 1 : 1 + rng.next_below(3),
+                      rng.next_below(hot ? capacity + 2 : pages)};
+    const SimTime now = SimTime::from_ns(step);
+    const std::uint64_t op = rng.next_below(100);
+    std::string what;
+    if (op < 30) {
+      what = "lookup";
+      EXPECT_EQ(describe(fast.lookup(key, now)), describe(ref.lookup(key, now))) << step;
+    } else if (op < 58) {
+      what = "insert";
+      Page* a = nullptr;
+      Page* b = nullptr;
+      bool fast_threw = false;
+      bool ref_threw = false;
+      try {
+        a = &fast.insert(key, now);
+      } catch (const std::logic_error&) {
+        fast_threw = true;
+      }
+      try {
+        b = &ref.insert(key, now);
+      } catch (const std::logic_error&) {
+        ref_threw = true;
+      }
+      EXPECT_EQ(fast_threw, ref_threw) << step;
+      throws += fast_threw ? 1 : 0;
+      if (a != nullptr && b != nullptr) {
+        const std::uint64_t tweak = rng.next_below(4);
+        for (Page* p : {a, b}) {
+          p->owner = static_cast<std::int32_t>(step % 7);
+          p->valid_bytes = static_cast<std::uint64_t>(step) * 3;
+          ++p->version;
+          if (tweak == 0) p->prefetched = true;
+          if (tweak == 1) p->data.assign(3, std::byte{1});
+        }
+      }
+    } else if (op < 78) {
+      what = "mark_dirty";
+      bool fast_threw = false;
+      bool ref_threw = false;
+      try {
+        fast.mark_dirty(key);
+      } catch (const std::logic_error&) {
+        fast_threw = true;
+      }
+      try {
+        ref.mark_dirty(key);
+      } catch (const std::logic_error&) {
+        ref_threw = true;
+      }
+      EXPECT_EQ(fast_threw, ref_threw) << step;
+    } else if (op < 90) {
+      what = "mark_clean";
+      fast.mark_clean(key);
+      ref.mark_clean(key);
+    } else if (op < 97) {
+      what = "erase";
+      fast.erase(key);
+      ref.erase(key);
+    } else if (op < 99) {
+      what = "erase_file";
+      fast.erase_file(key.file);
+      ref.erase_file(key.file);
+    } else {
+      what = "finalize";
+      fast.finalize_prefetch_waste();
+      ref.finalize_prefetch_waste();
+    }
+    SCOPED_TRACE("step " + std::to_string(step) + " " + what);
+    EXPECT_EQ(fast.size(), ref.size());
+    EXPECT_EQ(fast.dirty_count(), ref.dirty_count());
+    EXPECT_EQ(describe(fast.stats()), describe(ref.stats()));
+    EXPECT_EQ(fast_victims, ref_victims);
+    fast_victims.clear();
+    ref_victims.clear();
+    EXPECT_EQ(fast.oldest_dirty(2), ref.oldest_dirty(2));
+    if (step % sweep_every == 0 || step + 1 == steps) {
+      EXPECT_EQ(fast.oldest_dirty(capacity), ref.oldest_dirty(capacity));
+      for (std::uint64_t file = 1; file <= 3; ++file) {
+        for (std::uint64_t p = 0; p < pages; ++p) {
+          const PageKey probe{file, p};
+          EXPECT_EQ(fast.contains(probe), ref.contains(probe));
+          EXPECT_EQ(describe(fast.peek(probe)), describe(ref.peek(probe)));
+        }
+      }
+    }
+    if (::testing::Test::HasFailure()) return throws;  // first divergence only
+  }
+  return throws;
+}
+
+TEST(PageCacheDifferential, LruMatchesReferenceAtEveryCapacity) {
+  std::uint64_t throws = 0;
+  for (std::uint64_t capacity = 1; capacity <= 64 && !HasFailure(); ++capacity) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    throws += run_differential(capacity, EvictionPolicy::kLru, 1000 + capacity, 400);
+  }
+  EXPECT_GT(throws, 0u) << "the all-dirty insert throw was never reached";
+}
+
+TEST(PageCacheDifferential, TwoQMatchesReferenceAtEveryCapacity) {
+  std::uint64_t throws = 0;
+  for (std::uint64_t capacity = 1; capacity <= 64 && !HasFailure(); ++capacity) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    throws += run_differential(capacity, EvictionPolicy::kTwoQ, 2000 + capacity, 400);
+  }
+  EXPECT_GT(throws, 0u) << "the all-dirty insert throw was never reached";
+}
+
+TEST(PageCacheDifferential, LongRunsReuseSlotsAndRenumberQueues) {
+  // Long enough for the slab, both hash indexes and the stamp windows to
+  // grow several times, for every queue to be renumbered many times, and
+  // for released slots to be reused many times over.
+  (void)run_differential(64, EvictionPolicy::kTwoQ, 77, 6000);
+  if (HasFailure()) return;
+  (void)run_differential(48, EvictionPolicy::kLru, 78, 6000);
+  if (HasFailure()) return;
+  (void)run_differential(1024, EvictionPolicy::kTwoQ, 79, 40000, 1000);
+  if (HasFailure()) return;
+  (void)run_differential(1000, EvictionPolicy::kLru, 80, 40000, 1000);
 }
 
 // ------------------------------------------------------------ CacheBackend
@@ -646,6 +815,84 @@ TEST(ClientCacheTierTest, WritebackRetriesThroughOstOutagePreserveC1) {
   EXPECT_EQ(model.ost(0).stats().bytes_written, Bytes{8 * kPage});
   engine.assert_drained();
   model.assert_quiescent();  // F3: the durability ledger agrees
+}
+
+/// One pump-owned write-back in flight on a straggling OST, with flushes of
+/// the same file issued at `flush_offsets` after the write. Returns the
+/// landing time (from the kWriteback record) and each flush's completion.
+struct InflightFlushRun {
+  SimTime start;
+  SimTime landed;
+  std::uint64_t landings = 0;
+  std::vector<SimTime> done;
+  std::uint64_t dirty_left = 0;
+};
+
+InflightFlushRun run_inflight_flushes(const CacheConfig& config,
+                                      const std::vector<SimTime>& flush_offsets) {
+  sim::Engine engine{9};
+  pfs::PfsConfig pfs_config = small_pfs();
+  for (std::uint32_t ost = 0; ost < pfs_config.osts; ++ost) {
+    pfs_config.faults.ost_straggler(ost, SimTime::zero(), ms(1000), 100.0);  // a long flight
+  }
+  pfs::PfsModel model{engine, pfs_config};
+  const pfs::StripeLayout layout{Bytes::from_mib(1), 1, 0};
+  model.meta(0, pfs::MetaOp::kCreate, "/f", [](pfs::MetaResult) {}, layout);
+  engine.run();
+
+  cache::ClientCacheTier tier{engine, model, config, 1};
+  InflightFlushRun out;
+  tier.set_observer([&out](const cache::CacheRecord& r) {
+    if (r.kind != cache::CacheEventKind::kWriteback) return;
+    out.landed = r.at;
+    ++out.landings;
+  });
+  tier.write(0, "/f", layout, 0, 64_KiB, [](bool ok, Bytes) { EXPECT_TRUE(ok); });
+  out.start = engine.now();
+  out.done.assign(flush_offsets.size(), SimTime::zero());
+  for (std::size_t i = 0; i < flush_offsets.size(); ++i) {
+    // piolint: allow(C2) — engine.run() below drains before any of these unwind.
+    engine.schedule_at(out.start + flush_offsets[i], [&tier, &engine, &out, i] {
+      // piolint: allow(C2) — as above.
+      tier.flush_path(0, "/f", [&engine, &out, i] { out.done[i] = engine.now(); });
+    });
+  }
+  engine.run();
+  out.dirty_left = tier.dirty_pages();
+  return out;
+}
+
+TEST(ClientCacheTierTest, FlushOnInflightPageWakesAtFirstRetryTickAfterLanding) {
+  // A flush that finds its page's write-back already in flight waits on the
+  // writeback_retry grid anchored at the flush call: it completes at the
+  // first tick strictly after the landing, never earlier and never a whole
+  // extra tick later.
+  CacheConfig config;
+  config.enabled = true;
+  config.capacity_pages = 4;
+  config.max_dirty_pages = 0;  // every absorbed write starts its write-back
+  const std::vector<SimTime> offsets{ms(0.3), ms(1.7), ms(2.5), ms(4.9)};
+  const auto run = run_inflight_flushes(config, offsets);
+  ASSERT_EQ(run.landings, 1u);  // one write-back, owned by the pressure pump
+  ASSERT_GT(run.landed, run.start + ms(5.3));  // the first flush waits past a tick
+  const std::int64_t retry = config.writeback_retry.ns();
+  for (std::size_t i = 0; i < offsets.size(); ++i) {
+    const SimTime issued = run.start + offsets[i];
+    const std::int64_t waited = (run.landed - issued).ns();
+    EXPECT_EQ(run.done[i], issued + SimTime::from_ns((waited / retry + 1) * retry))
+        << "flush issued at " << issued.ns() << " ns";
+    EXPECT_GT(run.done[i], run.landed);
+    EXPECT_LE(run.done[i], run.landed + config.writeback_retry);
+  }
+  EXPECT_EQ(run.dirty_left, 0u);
+
+  // A flush issued exactly one retry before the landing has a tick on the
+  // landing's own ns. That tick came before the landing (its poll was set a
+  // whole retry earlier), so the flush sees the page clean one tick later.
+  const SimTime one_tick_before = run.landed - config.writeback_retry - run.start;
+  const auto exact = run_inflight_flushes(config, {one_tick_before});
+  ASSERT_EQ(exact.landed, run.landed);  // same run, one more flush
+  EXPECT_EQ(exact.done[0], run.landed + config.writeback_retry);
 }
 
 TEST(ClientCacheTierTest, ObserverFeedsServerStatsCacheSeries) {

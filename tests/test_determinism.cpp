@@ -8,7 +8,9 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
+#include "cache/cache.hpp"
 #include "driver/sim_driver.hpp"
 #include "eval/campaign.hpp"
 #include "fault/injector.hpp"
@@ -17,6 +19,7 @@
 #include "trace/tracer.hpp"
 #include "workload/dlio.hpp"
 #include "workload/kernels.hpp"
+#include "workload/op.hpp"
 
 namespace pio {
 namespace {
@@ -435,6 +438,176 @@ TEST(DeterminismRegression, SameSeedCachedCampaignsHashIdentical) {
 
 TEST(DeterminismRegression, DifferentSeedCachedCampaignsDiverge) {
   EXPECT_NE(run_cached_campaign(31, 42), run_cached_campaign(31, 43));
+}
+
+// ------------------------------------------------- write-back timing goldens
+//
+// Pinned digests of every SimRunResult field (per-rank finish times
+// included) plus the POSIX trace, for runs whose flushes wait on write-backs
+// already in flight. Engine event counts are deliberately left out: they
+// measure the simulator's bookkeeping, not the model. The values were taken
+// from the polling tier (a waiter re-checked its page every
+// writeback_retry); the parked-waiter tier must reproduce them bit for bit.
+
+std::uint64_t hash_result(const driver::SimRunResult& r) {
+  Fnv1a h;
+  h.mix(static_cast<std::uint64_t>(r.makespan.ns()));
+  for (const std::uint64_t v :
+       {r.ops, r.data_ops, r.meta_ops, r.failed_ops, r.retries, r.timeouts, r.giveups,
+        r.failovers, r.degraded_reads, r.data_lost_ops, r.rebuilds_completed,
+        r.rebuilt_bytes.count(), r.stale_map_retries, r.map_refreshes, r.down_detections,
+        r.migration_marked_bytes.count(), r.overload_rejections, r.budget_denied,
+        r.breaker_opens, r.breaker_fast_fails, r.deadline_giveups, r.server_overload_rejected,
+        r.server_shed, r.cache_hits, r.cache_misses, r.cache_evictions,
+        r.cache_prefetch_issued, r.cache_prefetch_used, r.cache_prefetch_wasted,
+        r.cache_writebacks, r.cache_writeback_failures, r.cache_absorbed_writes,
+        r.cache_hit_bytes.count(), r.cache_miss_bytes.count(), r.cache_writeback_bytes.count(),
+        r.bytes_read.count(), r.bytes_written.count()}) {
+    h.mix(v);
+  }
+  h.mix(static_cast<std::uint64_t>(r.read_time.ns()));
+  h.mix(static_cast<std::uint64_t>(r.write_time.ns()));
+  h.mix(static_cast<std::uint64_t>(r.meta_time.ns()));
+  for (const SimTime t : r.rank_finish) h.mix(static_cast<std::uint64_t>(t.ns()));
+  return h.digest();
+}
+
+/// Runs `workload` on a one-OST testbed with `faults` behind a shared
+/// write-back cache and digests the result and the trace.
+std::uint64_t run_writeback_scenario(const workload::Workload& workload,
+                                     cache::CacheConfig cache_config,
+                                     const fault::FaultPlan& faults = {}) {
+  sim::Engine engine{5};
+  pfs::PfsConfig pfs_config;
+  pfs_config.clients = 4;
+  pfs_config.io_nodes = 1;
+  pfs_config.osts = 1;
+  pfs_config.disk_kind = pfs::DiskKind::kHdd;
+  pfs_config.mds.default_layout = pfs::StripeLayout{Bytes::from_mib(1), 1, 0};
+  pfs_config.faults = faults;
+  pfs::PfsModel model{engine, pfs_config};
+  driver::SimRunConfig run_config;
+  run_config.layout = pfs::StripeLayout{Bytes::from_mib(1), 1, 0};
+  cache_config.enabled = true;
+  cache_config.scope = cache::CacheScope::kShared;
+  run_config.cache = cache_config;
+  driver::ExecutionDrivenSimulator sim{engine, model, run_config};
+  trace::Tracer tracer;
+  const auto result = sim.run(workload, &tracer);
+  engine.assert_drained();
+  model.assert_quiescent();
+  EXPECT_EQ(result.failed_ops, 0u);
+  Fnv1a h;
+  h.mix(hash_result(result));
+  h.mix(hash_trace(tracer.snapshot()));
+  return h.digest();
+}
+
+cache::CacheConfig small_dirty_bound() {
+  cache::CacheConfig config;
+  config.capacity_pages = 16;
+  config.max_dirty_pages = 1;  // every second dirty page starts a write-back
+  return config;
+}
+
+using workload::Op;
+constexpr std::uint64_t kPage = 64 * 1024;
+
+Op write_page(const std::string& path, std::uint64_t page) {
+  return Op::write(path, page * kPage, Bytes::from_kib(64));
+}
+
+TEST(WritebackTimingGolden, CachedDlioCampaign) {
+  const auto digest = [](std::uint64_t workload_seed) {
+    sim::Engine engine{31};
+    pfs::PfsModel model{engine, small_pfs()};
+    driver::SimRunConfig run_config;
+    run_config.cache.enabled = true;
+    run_config.cache.scope = cache::CacheScope::kShared;
+    run_config.cache.policy = cache::EvictionPolicy::kTwoQ;
+    run_config.cache.prefetch = cache::PrefetchMode::kEpoch;
+    run_config.cache.capacity_pages = 96;
+    run_config.cache.max_dirty_pages = 32;
+    driver::ExecutionDrivenSimulator sim{engine, model, run_config};
+    workload::DlioConfig config;
+    config.ranks = 4;
+    config.samples = 128;
+    config.sample_size = Bytes::from_kib(64);
+    config.samples_per_file = 32;
+    config.batch_size = 8;
+    config.epochs = 2;
+    config.shuffle = true;
+    config.seed = workload_seed;
+    config.compute_per_batch = SimTime::zero();
+    trace::Tracer tracer;
+    const auto result = sim.run(*workload::dlio_like(config), &tracer);
+    engine.assert_drained();
+    Fnv1a h;
+    h.mix(hash_result(result));
+    h.mix(hash_trace(tracer.snapshot()));
+    return h.digest();
+  };
+  EXPECT_EQ(digest(42), 0xabe18e55e51b1f8ULL);
+  EXPECT_EQ(digest(43), 0x294f086fc354db5bULL);
+}
+
+TEST(WritebackTimingGolden, OstOutageDuringWriteback) {
+  // Rank 0's writes start background write-backs into a down OST; its fsync
+  // and rank 1's later fsync of the same file wait on attempts in flight,
+  // across several failed attempts, until the OST returns at 40 ms.
+  std::vector<std::vector<Op>> ops(2);
+  ops[0].push_back(Op::create("/ckpt"));
+  for (std::uint64_t p = 0; p < 6; ++p) ops[0].push_back(write_page("/ckpt", p));
+  ops[0].push_back(Op::fsync("/ckpt"));
+  ops[0].push_back(Op::close("/ckpt"));
+  ops[1].push_back(Op::compute(SimTime::from_ms(2)));
+  ops[1].push_back(Op::open("/ckpt"));
+  ops[1].push_back(Op::fsync("/ckpt"));
+  ops[1].push_back(Op::close("/ckpt"));
+  const workload::VectorWorkload workload{"outage", std::move(ops)};
+  fault::FaultPlan faults;
+  faults.ost_down(0, SimTime::zero(), SimTime::from_ms(40));
+  EXPECT_EQ(run_writeback_scenario(workload, small_dirty_bound(), faults), 0xb50f54674e16306aULL);
+}
+
+TEST(WritebackTimingGolden, RewriteDuringWritebackFlight) {
+  // Page 0's write-back is in flight when rank 0 writes it again: the landed
+  // bytes are stale (version mismatch), so the page stays dirty and goes
+  // around again while rank 1's fsync waits on it.
+  std::vector<std::vector<Op>> ops(2);
+  ops[0].push_back(Op::create("/data"));
+  for (std::uint64_t p = 0; p < 3; ++p) ops[0].push_back(write_page("/data", p));
+  ops[0].push_back(write_page("/data", 0));
+  ops[0].push_back(write_page("/data", 1));
+  ops[0].push_back(Op::fsync("/data"));
+  ops[0].push_back(Op::close("/data"));
+  ops[1].push_back(Op::compute(SimTime::from_ms(1)));
+  ops[1].push_back(Op::open("/data"));
+  ops[1].push_back(Op::fsync("/data"));
+  ops[1].push_back(Op::close("/data"));
+  const workload::VectorWorkload workload{"rewrite", std::move(ops)};
+  EXPECT_EQ(run_writeback_scenario(workload, small_dirty_bound()), 0x8cd0801cd4200bb1ULL);
+}
+
+TEST(WritebackTimingGolden, UnlinkWhileFlushWaits) {
+  // Rank 0's fsync owns every write-back, slowed by a straggling OST; rank
+  // 1's fsync of the same file waits on all of them; rank 2 unlinks the
+  // file mid-wait, which drops the pages and releases rank 1's flush long
+  // before the write-backs land.
+  std::vector<std::vector<Op>> ops(3);
+  ops[0].push_back(Op::create("/tmpfile"));
+  for (std::uint64_t p = 0; p < 4; ++p) ops[0].push_back(write_page("/tmpfile", p));
+  ops[0].push_back(Op::fsync("/tmpfile"));
+  ops[1].push_back(Op::compute(SimTime::from_ms(1)));
+  ops[1].push_back(Op::open("/tmpfile"));
+  ops[1].push_back(Op::fsync("/tmpfile"));
+  ops[1].push_back(Op::close("/tmpfile"));
+  ops[2].push_back(Op::compute(SimTime::from_ms(12)));
+  ops[2].push_back(Op::unlink("/tmpfile"));
+  const workload::VectorWorkload workload{"unlink", std::move(ops)};
+  fault::FaultPlan faults;
+  faults.ost_straggler(0, SimTime::zero(), SimTime::from_ms(100), 50.0);
+  EXPECT_EQ(run_writeback_scenario(workload, small_dirty_bound(), faults), 0xfd6deb03d2b68c68ULL);
 }
 
 TEST(DeterminismRegression, SameSeedFaultCampaignsHashIdentical) {

@@ -3,6 +3,9 @@
 // injection, and the trace/profile consistency contract.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "analysis/job_analysis.hpp"
 #include "analysis/system_analysis.hpp"
 #include "driver/measured_runner.hpp"
@@ -31,6 +34,10 @@ struct SystemCase {
   std::uint32_t osts;
   std::uint32_t stripe_count;
 };
+
+/// Names the case in ctest test names (…/hdd_direct) instead of gtest's
+/// byte dump of the struct, whose heap pointer changes on every build.
+void PrintTo(const SystemCase& c, std::ostream* os) { *os << c.name; }
 
 class PfsInvariantTest : public ::testing::TestWithParam<SystemCase> {};
 
@@ -73,20 +80,13 @@ TEST_P(PfsInvariantTest, BytesAreConservedAndRunsAreDeterministic) {
 INSTANTIATE_TEST_SUITE_P(
     Systems, PfsInvariantTest,
     ::testing::Values(
-        SystemCase{"hdd-direct", pfs::DiskKind::kHdd, pfs::BbPlacement::kNone, 8, 4},
-        SystemCase{"ssd-direct", pfs::DiskKind::kSsd, pfs::BbPlacement::kNone, 8, 4},
-        SystemCase{"hdd-bb-node", pfs::DiskKind::kHdd, pfs::BbPlacement::kPerIoNode, 8, 4},
-        SystemCase{"hdd-bb-shared", pfs::DiskKind::kHdd, pfs::BbPlacement::kShared, 8, 4},
-        SystemCase{"single-ost", pfs::DiskKind::kSsd, pfs::BbPlacement::kNone, 1, 1},
-        SystemCase{"wide-stripe", pfs::DiskKind::kSsd, pfs::BbPlacement::kNone, 16, 16},
-        SystemCase{"narrow-stripe", pfs::DiskKind::kHdd, pfs::BbPlacement::kNone, 16, 1}),
-    [](const auto& param_info) {
-      std::string name = param_info.param.name;
-      for (auto& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name;
-    });
+        SystemCase{"hdd_direct", pfs::DiskKind::kHdd, pfs::BbPlacement::kNone, 8, 4},
+        SystemCase{"ssd_direct", pfs::DiskKind::kSsd, pfs::BbPlacement::kNone, 8, 4},
+        SystemCase{"hdd_bb_node", pfs::DiskKind::kHdd, pfs::BbPlacement::kPerIoNode, 8, 4},
+        SystemCase{"hdd_bb_shared", pfs::DiskKind::kHdd, pfs::BbPlacement::kShared, 8, 4},
+        SystemCase{"single_ost", pfs::DiskKind::kSsd, pfs::BbPlacement::kNone, 1, 1},
+        SystemCase{"wide_stripe", pfs::DiskKind::kSsd, pfs::BbPlacement::kNone, 16, 16},
+        SystemCase{"narrow_stripe", pfs::DiskKind::kHdd, pfs::BbPlacement::kNone, 16, 1}));
 
 // ------------------------------------------- measured vs simulated parity
 
