@@ -4,12 +4,14 @@
 // that is only viable if the engine sustains millions of events per second.
 // This is the one google-benchmark microbenchmark binary: engine event
 // throughput, scheduler-queue comparisons (4-ary heap vs calendar queue),
-// payload allocation (slab vs arena), fluid-channel transfers, end-to-end
-// PFS model ops, and client page-cache churn.
+// payload allocation (slab vs arena), fluid-channel transfers, fabric
+// messages, end-to-end PFS model ops, and client page-cache churn.
 //
-// Shape gate: the binary exits 1 if a BM_PageCacheChurn op at 16384 pages
+// Shape gates: the binary exits 1 if a BM_PageCacheChurn op at 16384 pages
 // costs more than 1.5x an op at 1024 pages (the cache core must stay O(1)
-// per page as it grows); the rows themselves are host timings.
+// per page as it grows), or if a BM_FabricSend message with 1024 in flight
+// costs more than 1.5x one with 16 in flight (a fabric hop must stay
+// O(log n)); the rows themselves are host timings.
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
@@ -21,6 +23,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/page_cache.hpp"
@@ -155,7 +158,8 @@ void BM_FairShareChannel(benchmark::State& state) {
   const auto flows = static_cast<std::uint64_t>(state.range(0));
   for (auto _ : state) {
     sim::Engine engine;
-    sim::FairShareChannel link{engine, Bandwidth::from_gib_per_sec(10.0), 1_us};
+    sim::FairShareChannel::FlowPool pool;
+    sim::FairShareChannel link{engine, Bandwidth::from_gib_per_sec(10.0), 1_us, pool};
     for (std::uint64_t f = 0; f < flows; ++f) {
       // piolint: allow(C2) — engine.run() drains before link leaves scope.
       engine.schedule_at(SimTime::from_us(static_cast<double>(f % 64)), [&link] {
@@ -168,6 +172,46 @@ void BM_FairShareChannel(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(flows) * state.iterations());
 }
 BENCHMARK(BM_FairShareChannel)->Arg(256)->Arg(1024)->Arg(4096);
+
+// ---- BM_FabricSend: messages through a 64-endpoint fabric, closed loop ----
+// `range(0)` messages are kept in flight: each delivery sends the next, from
+// endpoint i mod 64 to (7i + 3) mod 64, 4 KiB–512 KiB. One Fabric serves
+// an untimed warm-up storm and then every iteration, so timed hops find
+// their pools warm and allocate nothing. Items are messages.
+constexpr std::uint64_t kFabricMessages = 16384;
+constexpr std::uint32_t kFabricEndpoints = 64;
+
+struct FabricLoop {
+  net::Fabric* fabric;
+  std::uint64_t sent = 0;
+  void send() {
+    if (sent == kFabricMessages) return;
+    const std::uint64_t i = sent++;
+    fabric->send(static_cast<net::EndpointId>(i % kFabricEndpoints),
+                 static_cast<net::EndpointId>((7 * i + 3) % kFabricEndpoints),
+                 Bytes{std::uint64_t{4096} << (i % 8)}, [this] { send(); });
+  }
+};
+
+void BM_FabricSend(benchmark::State& state) {
+  const auto in_flight = static_cast<std::uint64_t>(state.range(0));
+  sim::Engine engine;
+  net::FabricConfig config;
+  config.core_links = 8.0;
+  net::Fabric fabric{engine, config, kFabricEndpoints};
+  const auto storm = [&] {
+    FabricLoop loop{&fabric};
+    for (std::uint64_t k = 0; k < in_flight; ++k) loop.send();
+    engine.run();
+  };
+  storm();  // untimed: sizes the pools, heaps and engine slots
+  for (auto _ : state) {
+    storm();
+    benchmark::DoNotOptimize(fabric.stats().messages);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(kFabricMessages) * state.iterations());
+}
+BENCHMARK(BM_FabricSend)->Arg(16)->Arg(1024);
 
 void BM_PfsModelEndToEnd(benchmark::State& state) {
   const auto ops = static_cast<std::uint64_t>(state.range(0));
@@ -239,41 +283,56 @@ void BM_PageCacheChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_PageCacheChurn)->Arg(1024)->Arg(16384);
 
-/// Wraps the reporter the flags asked for and keeps the per-op CPU time of
-/// each BM_PageCacheChurn size (CPU, not wall: the gate is about the cache
-/// core, not about who else holds the host): the fastest repetition, or the
-/// median aggregate when one is reported (it follows its repetitions).
+/// Items one iteration of a shape-gated benchmark processes (0: not gated).
+std::uint64_t gated_items(const std::string& function, std::uint64_t arg) {
+  if (function == "BM_PageCacheChurn") return kChurnOpsPerPage * arg;
+  if (function == "BM_FabricSend") return kFabricMessages;
+  return 0;
+}
+
+/// Wraps the reporter the flags asked for and keeps the per-item CPU time of
+/// each gated row (CPU, not wall: the gates are about the code, not about
+/// who else holds the host): the fastest repetition, or the median
+/// aggregate when one is reported (it follows its repetitions).
 template <class Base>
-class ChurnCapture : public Base {
+class ShapeCapture : public Base {
  public:
   using Base::Base;
 
   void ReportRuns(const std::vector<benchmark::BenchmarkReporter::Run>& runs) override {
     for (const auto& run : runs) {
-      if (run.run_name.function_name != "BM_PageCacheChurn" || run.error_occurred) continue;
+      if (run.error_occurred) continue;
+      const std::uint64_t arg = std::stoull(run.run_name.args.empty() ? "0" : run.run_name.args);
+      const std::uint64_t items = gated_items(run.run_name.function_name, arg);
+      if (items == 0) continue;
       const bool aggregate = run.run_type == benchmark::BenchmarkReporter::Run::RT_Aggregate;
       if (aggregate && run.aggregate_name != "median") continue;
-      const std::uint64_t pages = std::stoull(run.run_name.args);
       const double ns = run.GetAdjustedCPUTime() /
                         benchmark::GetTimeUnitMultiplier(run.time_unit) * 1e9 /
-                        static_cast<double>(kChurnOpsPerPage * pages);
-      const auto [it, fresh] = ns_per_op.try_emplace(pages, ns);
+                        static_cast<double>(items);
+      const auto [it, fresh] = ns_per_item.try_emplace({run.run_name.function_name, arg}, ns);
       if (!fresh) it->second = aggregate ? ns : std::min(it->second, ns);
     }
     Base::ReportRuns(runs);
   }
-  std::map<std::uint64_t, double> ns_per_op;
+  std::map<std::pair<std::string, std::uint64_t>, double> ns_per_item;
 };
 
-int check_churn_shape(const std::map<std::uint64_t, double>& ns_per_op) {
-  const auto small = ns_per_op.find(1024);
-  const auto large = ns_per_op.find(16384);
-  if (small == ns_per_op.end() || large == ns_per_op.end()) return 0;  // filtered out
-  const double ratio = large->second / small->second;
-  std::fprintf(stderr, "BM_PageCacheChurn shape: %.1f ns/op at 1024 pages, %.1f at 16384 (%.2fx)\n",
-               small->second, large->second, ratio);
+/// 1 when `function`'s per-item cost at `large` exceeds 1.5x its cost at
+/// `small`; 0 when it holds or either row was filtered out.
+int check_shape(const std::map<std::pair<std::string, std::uint64_t>, double>& ns_per_item,
+                const std::string& function, std::uint64_t small, std::uint64_t large,
+                const char* unit) {
+  const auto lo = ns_per_item.find({function, small});
+  const auto hi = ns_per_item.find({function, large});
+  if (lo == ns_per_item.end() || hi == ns_per_item.end()) return 0;
+  const double ratio = hi->second / lo->second;
+  std::fprintf(stderr, "%s shape: %.1f ns/item at %llu %s, %.1f at %llu (%.2fx)\n",
+               function.c_str(), lo->second, static_cast<unsigned long long>(small), unit,
+               hi->second, static_cast<unsigned long long>(large), ratio);
   if (ratio > 1.5) {
-    std::fprintf(stderr, "shape check VIOLATED: per-op cost grows with the cache (> 1.5x)\n");
+    std::fprintf(stderr, "shape check VIOLATED: %s per-item cost grows with %s (> 1.5x)\n",
+                 function.c_str(), unit);
     return 1;
   }
   return 0;
@@ -283,7 +342,9 @@ template <class Reporter>
 int run_and_check(Reporter& reporter) {
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
-  return check_churn_shape(reporter.ns_per_op);
+  const int churn = check_shape(reporter.ns_per_item, "BM_PageCacheChurn", 1024, 16384, "pages");
+  const int fabric = check_shape(reporter.ns_per_item, "BM_FabricSend", 16, 1024, "in flight");
+  return churn | fabric;
 }
 
 }  // namespace
@@ -298,10 +359,10 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   if (json) {
-    ChurnCapture<benchmark::JSONReporter> reporter;
+    ShapeCapture<benchmark::JSONReporter> reporter;
     return run_and_check(reporter);
   }
-  ChurnCapture<benchmark::ConsoleReporter> reporter{
+  ShapeCapture<benchmark::ConsoleReporter> reporter{
       isatty(STDOUT_FILENO) != 0 ? benchmark::ConsoleReporter::OO_Color
                                  : benchmark::ConsoleReporter::OO_None};
   return run_and_check(reporter);

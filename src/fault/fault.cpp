@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "sim/check.hpp"
@@ -82,8 +83,10 @@ Timeline::Timeline(std::vector<FaultEvent> events) {
       throw std::invalid_argument("fault::Timeline: event interval must have end > start (" +
                                   to_string(e.component) + ")");
     }
-    if (e.kind == FaultKind::kSlowdown && e.factor <= 0.0) {
-      throw std::invalid_argument("fault::Timeline: slowdown factor must be > 0 (" +
+    // Negated comparisons so NaN and infinity are rejected too.
+    if (e.kind == FaultKind::kSlowdown &&
+        !(e.factor > 0.0 && e.factor < std::numeric_limits<double>::infinity())) {
+      throw std::invalid_argument("fault::Timeline: slowdown factor must be finite and > 0 (" +
                                   to_string(e.component) + ")");
     }
     auto& component = components_[e.component.key()];

@@ -54,12 +54,17 @@ class Fabric {
 
   /// Deliver `size` bytes from `src` to `dst`; `on_delivered` fires when the
   /// last byte leaves the destination's ejection link. Zero-size messages
-  /// model latency-only RPCs.
+  /// model latency-only RPCs. Throws std::out_of_range for a bad endpoint
+  /// and std::overflow_error when the message (inflated by an active
+  /// brownout) does not fit in 64 bits or cannot drain within SimTime; a
+  /// rejected send changes no stats and holds no record.
   void send(EndpointId src, EndpointId dst, Bytes size, std::function<void()> on_delivered);
 
   [[nodiscard]] std::uint32_t endpoints() const { return static_cast<std::uint32_t>(inject_.size()); }
   [[nodiscard]] const FabricStats& stats() const { return stats_; }
   [[nodiscard]] const FabricConfig& config() const { return config_; }
+  /// Message records in use: messages sent and not yet past the core.
+  [[nodiscard]] std::size_t live_message_records() const { return messages_.live(); }
 
   /// One-way zero-load latency (three hops); used by models for cost floors.
   [[nodiscard]] SimTime base_latency() const;
@@ -74,8 +79,22 @@ class Fabric {
   }
 
  private:
+  /// One message from `send` until it enters its ejection link.
+  struct Message {
+    EndpointId dst;
+    Bytes wire;
+    std::function<void()> on_delivered;
+  };
+
+  /// Release a message's record and start its ejection stage.
+  void eject(std::uint32_t index);
+
   sim::Engine& engine_;
   FabricConfig config_;
+  /// Flow records of all 2n + 1 channels: one pool, so retained capacity
+  /// tracks the fabric-wide peak of concurrent flows, not each link's.
+  sim::FairShareChannel::FlowPool flows_;
+  sim::SlotPool<Message> messages_;
   std::vector<std::unique_ptr<sim::FairShareChannel>> inject_;
   std::vector<std::unique_ptr<sim::FairShareChannel>> eject_;
   std::unique_ptr<sim::FairShareChannel> core_;

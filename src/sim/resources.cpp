@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "sim/check.hpp"
 
@@ -93,12 +92,13 @@ std::uint64_t FairShareChannel::whole_rate(Bandwidth capacity) {
 }
 
 FairShareChannel::FairShareChannel(Engine& engine, Bandwidth capacity, SimTime latency,
-                                   std::string name)
+                                   FlowPool& pool, std::string name)
     : engine_(engine),
       capacity_(capacity),
       rate_(whole_rate(capacity)),
       latency_(latency),
-      name_(std::move(name)) {
+      name_(std::move(name)),
+      pool_(pool) {
   if (latency < SimTime::zero()) {
     throw std::invalid_argument("FairShareChannel: negative latency");
   }
@@ -110,29 +110,48 @@ void FairShareChannel::transfer(Bytes size, std::function<void()> on_done) {
     engine_.schedule_after(latency_, std::move(on_done));
     return;
   }
+  check_drainable(size);
+  const std::uint32_t slot = pool_.records.claim(size, std::move(on_done));
+  try {
+    engine_.schedule_after(latency_, [this, slot] { admit(slot); });
+  } catch (...) {
+    pool_.records[slot].on_done = nullptr;
+    pool_.records.release(slot);
+    throw;
+  }
+}
+
+void FairShareChannel::check_drainable(Bytes size) const {
   if (work_of(size) >= Work{rate_} * static_cast<std::uint64_t>(kMaxNs)) {
     throw std::overflow_error("FairShareChannel::transfer: " + std::to_string(size.count()) +
                               " B drains past the end of simulated time");
   }
-  engine_.schedule_after(latency_, [this, size, done = std::move(on_done)]() mutable {
-    admit(size, std::move(done));
-  });
 }
 
-void FairShareChannel::admit(Bytes size, std::function<void()> on_done) {
+void FairShareChannel::admit(std::uint32_t slot) {
   advance_progress();
-  flows_.emplace(FlowKey{vtime_ + work_of(size), next_seq_++}, Flow{size, std::move(on_done)});
+  // Sift the new key up from a hole at the end of the heap.
+  const FlowKey rising{vtime_ + work_of(pool_.records[slot].size), next_seq_++, slot};
+  heap_.push_back(rising);
+  std::size_t i = heap_.size() - 1;
+  while (i > 0) {
+    const std::size_t parent = (i - 1) >> 2;
+    if (!before(rising, heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    i = parent;
+  }
+  heap_[i] = rising;
   reschedule_completion();
 }
 
 void FairShareChannel::advance_progress() {
   const SimTime now = engine_.now();
-  if (!flows_.empty()) {
+  if (!heap_.empty()) {
     // Each active flow receives rate·dt/n work; the floor's remainder rides
     // along in carry_ instead of being dropped.
     const Work service =
         Work{rate_} * static_cast<std::uint64_t>((now - last_progress_).ns()) + carry_;
-    const std::uint64_t n = flows_.size();
+    const std::uint64_t n = heap_.size();
     const Work step = service / n;
     vtime_ += step;
     carry_ = service - step * n;
@@ -145,12 +164,12 @@ void FairShareChannel::reschedule_completion() {
     engine_.cancel(pending_completion_);
     pending_completion_ = 0;
   }
-  if (flows_.empty()) return;
+  if (heap_.empty()) return;
   // The head drains once rate·delay + carry reaches (tag − V)·n: the first
   // such nanosecond, exactly. An admit at the head's completion instant runs
   // before its completion event and finds it already drained: delay 0.
-  const Work head = flows_.begin()->first.tag;
-  const Work owed = head > vtime_ ? (head - vtime_) * flows_.size() : 0;
+  const Work head = heap_.front().tag;
+  const Work owed = head > vtime_ ? (head - vtime_) * heap_.size() : 0;
   const Work delay = owed > carry_ ? (owed - carry_ + rate_ - 1) / rate_ : 0;
   if (delay > static_cast<Work>(kMaxNs - engine_.now().ns())) {
     throw std::overflow_error("FairShareChannel " + name_ +
@@ -163,28 +182,61 @@ void FairShareChannel::reschedule_completion() {
       });
 }
 
+FairShareChannel::FlowKey FairShareChannel::pop_head() {
+  const FlowKey head = heap_.front();
+  bytes_moved_ += pool_.records[head.slot].size;
+  const FlowKey sinking = heap_.back();
+  heap_.pop_back();
+  // Sink the old last key from the root's hole, as Engine::sift_hole does.
+  const std::size_t n = heap_.size();
+  if (n == 0) return head;
+  std::size_t i = 0;
+  for (;;) {
+    const std::size_t first = i * 4 + 1;
+    if (first >= n) break;
+    std::size_t best = first;
+    const std::size_t last = std::min(first + 4, n);
+    for (std::size_t child = first + 1; child < last; ++child) {
+      if (before(heap_[child], heap_[best])) best = child;
+    }
+    if (!before(heap_[best], sinking)) break;
+    heap_[i] = heap_[best];
+    i = best;
+  }
+  heap_[i] = sinking;
+  return head;
+}
+
+std::function<void()> FairShareChannel::take(std::uint32_t slot) {
+  std::function<void()> done = std::move(pool_.records[slot].on_done);
+  pool_.records.release(slot);
+  return done;
+}
+
 void FairShareChannel::complete_earliest() {
   advance_progress();
   // Complete every flow that has drained: a prefix of the (tag, seq) order.
   // Ties complete together, in admission order for determinism.
-  std::vector<std::pair<std::uint64_t, std::function<void()>>> done;
-  auto drained_end = flows_.begin();
-  for (; drained_end != flows_.end() && drained_end->first.tag <= vtime_; ++drained_end) {
-    bytes_moved_ += drained_end->second.size;
-    done.emplace_back(drained_end->first.seq, std::move(drained_end->second.on_done));
+  std::vector<Drained>& drained = pool_.drained;
+  drained.clear();
+  while (!heap_.empty() && heap_.front().tag <= vtime_) {
+    const FlowKey key = pop_head();
+    drained.push_back(Drained{key.seq, key.slot});
   }
-  flows_.erase(flows_.begin(), drained_end);
   // The completion was timed to the head's exact drain instant.
-  check::that(!done.empty(), "fair-share completion drains a flow", name_);
-  std::sort(done.begin(), done.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  if (flows_.empty()) {
+  check::that(!drained.empty(), "fair-share completion drains a flow", name_);
+  std::sort(drained.begin(), drained.end(),
+            [](const Drained& a, const Drained& b) { return a.seq < b.seq; });
+  if (heap_.empty()) {
     vtime_ = 0;
     carry_ = 0;
   }
   reschedule_completion();
-  for (auto& [seq, on_done] : done) {
-    if (on_done) on_done();
+  // Records stay claimed until their turn, so a callback that claims (and
+  // maybe grows the pool) never disturbs the ones still to fire.
+  for (const Drained& flow : drained) {
+    std::function<void()> done = take(flow.slot);
+    if (done) done();
   }
 }
 

@@ -9,8 +9,13 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
+#include <limits>
+#include <memory>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "common/histogram.hpp"
 #include "common/types.hpp"
@@ -79,6 +84,47 @@ class FifoServer {
   ServerStats stats_;
 };
 
+/// Free-list slab of records addressed by a 32-bit index. A claim reuses the
+/// most recently released index before the slab grows, so its capacity
+/// tracks the peak number of live records, and a release never allocates.
+/// Records move when the slab grows: hold indices, not references, across a
+/// claim.
+template <class T>
+class SlotPool {
+ public:
+  /// Construct a record from `args` (one move of each argument) and return
+  /// its index.
+  template <class... Args>
+  [[nodiscard]] std::uint32_t claim(Args&&... args) {
+    static_assert(std::is_nothrow_constructible_v<T, Args&&...>);
+    if (free_.empty()) {
+      if (slots_.size() > std::numeric_limits<std::uint32_t>::max()) {
+        throw std::length_error("SlotPool: more than 2^32 live records");
+      }
+      slots_.emplace_back(std::forward<Args>(args)...);
+      free_.reserve(slots_.capacity());
+      return static_cast<std::uint32_t>(slots_.size() - 1);
+    }
+    const std::uint32_t index = free_.back();
+    free_.pop_back();
+    T* record = &slots_[index];
+    std::destroy_at(record);
+    std::construct_at(record, std::forward<Args>(args)...);
+    return index;
+  }
+
+  /// Return `index` for reuse. The record is left as it is (callers move
+  /// its payload out first) and destroyed at its next claim.
+  void release(std::uint32_t index) noexcept { free_.push_back(index); }
+
+  [[nodiscard]] T& operator[](std::uint32_t index) { return slots_[index]; }
+  [[nodiscard]] std::size_t live() const { return slots_.size() - free_.size(); }
+
+ private:
+  std::vector<T> slots_;
+  std::vector<std::uint32_t> free_;  ///< capacity kept >= slots_.capacity()
+};
+
 /// Fluid-model fair-sharing channel: `n` concurrent flows each progress at
 /// capacity/n. Propagation latency is applied once at flow admission. This is
 /// the standard processor-sharing approximation used by CODES-class network
@@ -86,10 +132,12 @@ class FifoServer {
 ///
 /// Implemented in virtual time (DESIGN.md §17): one channel-global clock V
 /// advances at capacity/n, a flow admitted at V_admit drains when V reaches
-/// its finish tag V_admit + size, and flows sit in a map ordered by
-/// (tag, admission seq) — each admit or completion is O(log n). All
-/// accounting is exact integer arithmetic in `Work` units, so the completion
-/// instant of every flow is the first nanosecond at which it has drained.
+/// its finish tag V_admit + size, and flows sit in a 4-ary min-heap of keys
+/// ordered by (tag, admission seq) — each admit or completion is O(log n).
+/// All accounting is exact integer arithmetic in `Work` units, so the
+/// completion instant of every flow is the first nanosecond at which it has
+/// drained. A flow's size and callback live in a pooled record from
+/// `transfer` to completion; channels may share one pool (net::Fabric does).
 class FairShareChannel {
  public:
   /// Work in units of 1e-9 byte: a whole B/s rate times a duration in ns is
@@ -98,48 +146,77 @@ class FairShareChannel {
   __extension__ using Work = unsigned __int128;
   static constexpr std::uint64_t kWorkPerByte = 1'000'000'000;
 
+  /// One flow, from `transfer` until its callback fires.
+  struct Flow {
+    Bytes size;
+    std::function<void()> on_done;
+  };
+  /// A drained flow waiting to fire.
+  struct Drained {
+    std::uint64_t seq;
+    std::uint32_t slot;
+  };
+  /// Flow records, and the scratch a completion sorts drained flows in.
+  /// Channels sharing a pool share both, so retained memory tracks their
+  /// combined peak. One scratch serves them all: engine events never nest,
+  /// so a batch has fired before any other completion runs.
+  struct FlowPool {
+    SlotPool<Flow> records;
+    std::vector<Drained> drained;
+  };
+
   /// `capacity` rounded to whole B/s, the channel's integer rate. Throws
   /// std::invalid_argument when it rounds below 1 B/s or exceeds 2^63 B/s.
   [[nodiscard]] static std::uint64_t whole_rate(Bandwidth capacity);
 
-  FairShareChannel(Engine& engine, Bandwidth capacity, SimTime latency,
+  /// Flow records live in `pool` (not owned; it must outlive the channel's
+  /// flows and may be shared with other channels).
+  FairShareChannel(Engine& engine, Bandwidth capacity, SimTime latency, FlowPool& pool,
                    std::string name = "link");
+
+  FairShareChannel(const FairShareChannel&) = delete;
+  FairShareChannel& operator=(const FairShareChannel&) = delete;
 
   /// Start a transfer of `size`; `on_done` fires when the last byte drains.
   /// Throws std::overflow_error if draining `size` alone at full capacity
   /// would take longer than SimTime can represent.
   void transfer(Bytes size, std::function<void()> on_done);
 
-  [[nodiscard]] std::size_t active_flows() const { return flows_.size(); }
+  /// Throw the std::overflow_error `transfer` would for `size`, if any.
+  void check_drainable(Bytes size) const;
+
+  [[nodiscard]] std::size_t active_flows() const { return heap_.size(); }
   [[nodiscard]] Bytes bytes_moved() const { return bytes_moved_; }
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] Bandwidth capacity() const { return capacity_; }
 
  private:
-  /// Map order: finish tag, then admission order.
+  /// Heap key of an admitted flow; the heap orders on (tag, seq).
   struct FlowKey {
     Work tag;
     std::uint64_t seq;
-    bool operator<(const FlowKey& other) const {
-      return tag != other.tag ? tag < other.tag : seq < other.seq;
-    }
+    std::uint32_t slot;  ///< the flow's record in the pool
   };
-  struct Flow {
-    Bytes size;
-    std::function<void()> on_done;
-  };
+  static bool before(const FlowKey& a, const FlowKey& b) {
+    return a.tag != b.tag ? a.tag < b.tag : a.seq < b.seq;
+  }
 
-  void admit(Bytes size, std::function<void()> on_done);
+  void admit(std::uint32_t slot);
   void advance_progress();
   void reschedule_completion();
   void complete_earliest();
+  /// Pop the heap's head, counting its bytes as moved.
+  FlowKey pop_head();
+  /// Move a flow's callback out of its record and release the record.
+  std::function<void()> take(std::uint32_t slot);
 
   Engine& engine_;
   Bandwidth capacity_;
   std::uint64_t rate_;  ///< capacity in whole B/s = work per ns at n = 1
   SimTime latency_;
   std::string name_;
-  std::map<FlowKey, Flow> flows_;
+  FlowPool& pool_;
+  std::vector<FlowKey> heap_;  ///< 4-ary min-heap of admitted flows
   Work vtime_ = 0;  ///< V; reset to 0 whenever the channel idles
   /// Remainder of the last V step (a numerator over that step's n), fed
   /// into the next step so no work is lost to the floor.

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -93,6 +94,22 @@ TEST(FaultTimelineTest, MalformedEventsThrow) {
   FaultPlan bad_fabric;
   EXPECT_THROW(bad_fabric.fabric_brownout(ComponentKind::kOst, ms(0), ms(1), 2.0),
                std::invalid_argument);
+}
+
+TEST(FaultTimelineTest, NonFiniteSlowdownFactorsThrow) {
+  for (const double factor : {std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity(),
+                              -std::numeric_limits<double>::infinity()}) {
+    FaultPlan plan;
+    plan.ost_straggler(0, ms(0), ms(10), factor);
+    EXPECT_THROW(Timeline{plan.events}, std::invalid_argument) << factor;
+    FaultPlan brownout;
+    brownout.fabric_brownout(ComponentKind::kStorageFabric, ms(0), ms(10), factor);
+    EXPECT_THROW(Timeline{brownout.events}, std::invalid_argument) << factor;
+  }
+  FaultPlan huge;
+  huge.mds_slowdown(ms(0), ms(10), 1e300);
+  EXPECT_NO_THROW(Timeline{huge.events});
 }
 
 TEST(FaultTimelineTest, HandlerDuringDownIntervalTripsInvariantF1) {

@@ -157,7 +157,8 @@ TEST(FifoServerTest, NegativeServiceTimeThrows) {
 
 TEST(FairShareChannelTest, SingleFlowTakesSizeOverCapacity) {
   Engine e;
-  FairShareChannel link{e, Bandwidth::from_mib_per_sec(100.0), 0_us};
+  FairShareChannel::FlowPool pool;
+  FairShareChannel link{e, Bandwidth::from_mib_per_sec(100.0), 0_us, pool};
   SimTime done = SimTime::zero();
   link.transfer(100_MiB, [&] { done = e.now(); });
   e.run();
@@ -168,7 +169,8 @@ TEST(FairShareChannelTest, SingleFlowTakesSizeOverCapacity) {
 
 TEST(FairShareChannelTest, TwoEqualFlowsShareBandwidth) {
   Engine e;
-  FairShareChannel link{e, Bandwidth::from_mib_per_sec(100.0), 0_us};
+  FairShareChannel::FlowPool pool;
+  FairShareChannel link{e, Bandwidth::from_mib_per_sec(100.0), 0_us, pool};
   std::vector<double> done;
   link.transfer(50_MiB, [&] { done.push_back(e.now().sec()); });
   link.transfer(50_MiB, [&] { done.push_back(e.now().sec()); });
@@ -181,7 +183,8 @@ TEST(FairShareChannelTest, TwoEqualFlowsShareBandwidth) {
 
 TEST(FairShareChannelTest, LateFlowSlowsEarlyFlow) {
   Engine e;
-  FairShareChannel link{e, Bandwidth::from_mib_per_sec(100.0), 0_us};
+  FairShareChannel::FlowPool pool;
+  FairShareChannel link{e, Bandwidth::from_mib_per_sec(100.0), 0_us, pool};
   double first_done = 0.0;
   double second_done = 0.0;
   link.transfer(100_MiB, [&] { first_done = e.now().sec(); });
@@ -197,7 +200,8 @@ TEST(FairShareChannelTest, LateFlowSlowsEarlyFlow) {
 
 TEST(FairShareChannelTest, LatencyAppliesOnce) {
   Engine e;
-  FairShareChannel link{e, Bandwidth::from_gib_per_sec(1.0), 100_us};
+  FairShareChannel::FlowPool pool;
+  FairShareChannel link{e, Bandwidth::from_gib_per_sec(1.0), 100_us, pool};
   SimTime done = SimTime::zero();
   link.transfer(Bytes::zero(), [&] { done = e.now(); });
   e.run();
